@@ -1,9 +1,10 @@
-// Workload-generation scaling: jobs/sec for the scenario registry's three
+// Workload-generation scaling: jobs/sec for the scenario registry's four
 // shapes at trace scale - a plain base generator, a piped transform
-// pipeline (rate scaling + estimate noise + DAG injection + load stretch)
-// and a weighted mix - so the spec-keyed scenario axis stays cheap relative
-// to the simulations it feeds (generation must never be the sweep
-// bottleneck; the 10^5-job pipelines here cost milliseconds against
+// pipeline (rate scaling + estimate noise + DAG injection + load stretch),
+// a weighted mix, and the Polaris replay (raw-row generation plus the
+// paper's Section 5 preprocessing) - so the spec-keyed scenario axis stays
+// cheap relative to the simulations it feeds (generation must never be the
+// sweep bottleneck; the 10^5-job pipelines here cost milliseconds against
 // multi-second cells).
 //
 //   ./bench/micro_workload_scaling [--jobs 10000,100000] [--seed 4242]
@@ -52,6 +53,7 @@ int main(int argc, char** argv) {
        "hetero_mix?rate_scale=1.5|perturb?walltime_noise=1.2:2.0|dag?fanout=4&depth=6"
        "|stretch?load=1.25"},
       {"mix", "mix(long_job:0.2,resource_sparse:0.8)"},
+      {"polaris", "polaris"},
   };
 
   std::printf("Scenario-registry generation throughput (best of %zu):\n\n", reps);

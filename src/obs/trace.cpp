@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <stdexcept>
@@ -24,9 +25,7 @@ int this_thread_id() {
 }  // namespace
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.resize(capacity_);
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 TraceRecorder& TraceRecorder::global() {
   static TraceRecorder g;
@@ -35,7 +34,15 @@ TraceRecorder& TraceRecorder::global() {
 
 void TraceRecorder::record(SpanRecord rec) {
   util::MutexLock lock(mu_);
-  ring_[next_] = std::move(rec);
+  if (ring_.size() < capacity_) {
+    // Grow on demand, doubling but never past the bound.
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(std::min(capacity_, std::max<std::size_t>(64, 2 * ring_.size())));
+    }
+    ring_.push_back(std::move(rec));
+  } else {
+    ring_[next_] = std::move(rec);
+  }
   next_ = (next_ + 1) % capacity_;
   ++total_;
 }
@@ -43,11 +50,10 @@ void TraceRecorder::record(SpanRecord rec) {
 std::vector<SpanRecord> TraceRecorder::snapshot() const {
   util::MutexLock lock(mu_);
   std::vector<SpanRecord> out;
-  const std::size_t held = total_ < capacity_ ? total_ : capacity_;
-  out.reserve(held);
+  out.reserve(ring_.size());
   // Oldest slot: with a full ring the next overwrite target is the oldest.
-  const std::size_t start = total_ < capacity_ ? 0 : next_;
-  for (std::size_t i = 0; i < held; ++i) {
+  const std::size_t start = ring_.size() < capacity_ ? 0 : next_;
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
     out.push_back(ring_[(start + i) % capacity_]);
   }
   return out;
@@ -56,7 +62,7 @@ std::vector<SpanRecord> TraceRecorder::snapshot() const {
 TraceStats TraceRecorder::stats() const {
   util::MutexLock lock(mu_);
   TraceStats s;
-  s.recorded = total_ < capacity_ ? total_ : capacity_;
+  s.recorded = ring_.size();
   s.dropped = total_ - s.recorded;
   s.capacity = capacity_;
   return s;
@@ -64,7 +70,7 @@ TraceStats TraceRecorder::stats() const {
 
 void TraceRecorder::clear() {
   util::MutexLock lock(mu_);
-  for (SpanRecord& r : ring_) r = SpanRecord{};
+  ring_ = {};
   next_ = 0;
   total_ = 0;
 }

@@ -43,11 +43,12 @@ struct TraceStats {
   std::size_t capacity = 0;
 };
 
-/// Bounded ring of completed spans. record() is a mutex-guarded copy into a
-/// preallocated slot; the ring keeps the newest `capacity` spans and counts
-/// evictions instead of growing - a week-long service run cannot exhaust
-/// memory through tracing. Export is Chrome trace-event JSON ("X" complete
-/// events), loadable in Perfetto or chrome://tracing.
+/// Bounded ring of completed spans. record() is a mutex-guarded move into
+/// the ring, which grows on demand up to `capacity` spans and then keeps the
+/// newest ones, counting evictions instead of growing further - a process
+/// that records few spans holds few, and a week-long service run cannot
+/// exhaust memory through tracing. Export is Chrome trace-event JSON ("X"
+/// complete events), loadable in Perfetto or chrome://tracing.
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = 65536);

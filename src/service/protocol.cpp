@@ -1,7 +1,12 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
+#include <string_view>
 
+#include "util/json_writer.hpp"
 #include "util/string_utils.hpp"
 
 namespace reasched::service {
@@ -15,13 +20,38 @@ double require_number(const util::JsonValue& v, const char* key) {
   return v.at(key).as_number();
 }
 
-sim::JobId id_from(const util::JsonValue& v, const char* key) {
-  const double raw = require_number(v, key);
-  const double rounded = std::nearbyint(raw);
-  if (raw != rounded) {
+/// An integral value in sim::JobId's range (ids, users, groups and
+/// dependency entries all share it); `key` names the field in the error.
+sim::JobId integral_id(double raw, const char* key) {
+  if (raw != std::nearbyint(raw)) {
     throw ProtocolError(util::format("request: field \"%s\" must be an integer", key));
   }
-  return static_cast<sim::JobId>(rounded);
+  if (raw < std::numeric_limits<sim::JobId>::min() ||
+      raw > std::numeric_limits<sim::JobId>::max()) {
+    throw ProtocolError(util::format("request: field \"%s\" value %s out of range", key,
+                                     util::format_double_exact(raw).c_str()));
+  }
+  return static_cast<sim::JobId>(raw);
+}
+
+sim::JobId id_from(const util::JsonValue& v, const char* key) {
+  return integral_id(require_number(v, key), key);
+}
+
+/// Refuse any key of `obj` outside `accepted`, naming it and listing the
+/// accepted ones - a misspelt field must not silently fall back to a default.
+void accept_only(const util::JsonValue& obj, std::initializer_list<std::string_view> accepted,
+                 const char* what = "field") {
+  for (const auto& [key, value] : obj.as_object()) {
+    if (std::find(accepted.begin(), accepted.end(), key) != accepted.end()) continue;
+    std::string list;
+    for (const std::string_view a : accepted) {
+      if (!list.empty()) list += ", ";
+      list += a;
+    }
+    throw ProtocolError(util::format("request: unknown %s \"%s\" (accepted: %s)", what,
+                                     key.c_str(), list.c_str()));
+  }
 }
 
 }  // namespace
@@ -44,6 +74,11 @@ void job_to_json(util::JsonWriter& w, const sim::Job& job) {
 
 sim::Job job_from_json(const util::JsonValue& v) {
   if (!v.is_object()) throw ProtocolError("request: \"job\" must be an object");
+  // Exactly the fields job_to_json writes, so snapshots restore unchanged.
+  const std::initializer_list<std::string_view> job_fields = {
+      "id", "user", "group", "submit_time", "duration", "walltime", "nodes", "memory_gb",
+      "dependencies"};
+  accept_only(v, job_fields, "job field");
   sim::Job job;
   job.duration = require_number(v, "duration");
   job.walltime = v.number_or("walltime", job.duration);
@@ -60,7 +95,7 @@ sim::Job job_from_json(const util::JsonValue& v) {
       if (!deps.at(i).is_number()) {
         throw ProtocolError("request: \"dependencies\" entries must be job ids");
       }
-      job.dependencies.push_back(static_cast<sim::JobId>(deps.at(i).as_number()));
+      job.dependencies.push_back(integral_id(deps.at(i).as_number(), "dependencies"));
     }
   }
   return job;
@@ -81,32 +116,40 @@ Request parse_request(const std::string& line) {
   Request req;
   if (op == "submit") {
     req.op = Request::Op::kSubmit;
+    accept_only(doc, {"op", "job"});
     if (!doc.contains("job")) throw ProtocolError("request: submit needs a \"job\" object");
     req.job = job_from_json(doc.at("job"));
   } else if (op == "query") {
     req.op = Request::Op::kQuery;
+    accept_only(doc, {"op", "id"});
     if (doc.contains("id")) {
       req.has_id = true;
       req.id = id_from(doc, "id");
     }
   } else if (op == "cancel") {
     req.op = Request::Op::kCancel;
+    accept_only(doc, {"op", "id"});
     req.id = id_from(doc, "id");
   } else if (op == "advance") {
     req.op = Request::Op::kAdvance;
+    accept_only(doc, {"op", "to"});
     req.to = require_number(doc, "to");
   } else if (op == "drain") {
     req.op = Request::Op::kDrain;
+    accept_only(doc, {"op"});
   } else if (op == "checkpoint") {
     req.op = Request::Op::kCheckpoint;
+    accept_only(doc, {"op", "path"});
     if (!doc.contains("path") || !doc.at("path").is_string()) {
       throw ProtocolError("request: checkpoint needs a string \"path\"");
     }
     req.path = doc.at("path").as_string();
   } else if (op == "stats") {
     req.op = Request::Op::kStats;
+    accept_only(doc, {"op"});
   } else if (op == "shutdown") {
     req.op = Request::Op::kShutdown;
+    accept_only(doc, {"op"});
   } else {
     throw ProtocolError(util::format(
         "request: unknown op \"%s\" (submit|query|cancel|advance|drain|checkpoint|stats|shutdown)",

@@ -16,6 +16,12 @@ namespace reasched::workload {
 /// preprocessing pipeline, which also accepts a real trace CSV if one is
 /// available. See DESIGN.md "Substitutions" for the fidelity argument.
 ///
+/// The pipeline is typed: the generator emits PolarisRawRow values and
+/// preprocessing consumes them, so a synthetic replay never formats or
+/// parses a number. CSV is only the adapter at the edge -
+/// generate_polaris_raw_trace renders rows as the raw-trace CSV and
+/// preprocess_polaris_trace parses a CSV (synthetic or real) into rows.
+///
 /// Raw-trace columns:
 ///   JOB_NAME, USER, GROUP, SUBMIT_TIMESTAMP, START_TIMESTAMP,
 ///   END_TIMESTAMP, NODES_REQUESTED, WALLTIME_SECONDS, QUEUED_WAIT_SECONDS,
@@ -35,19 +41,50 @@ struct PolarisTraceConfig {
   std::int64_t epoch_start = 1730419200;
 };
 
-/// Generate a raw Polaris-like trace (deterministic in `seed`).
+/// One raw-trace row. Times are whole epoch seconds, as the logs record
+/// them. `user` and `group` are raw account ids (USER polaris_user_07 is
+/// user 7); preprocessing re-factorizes them, so any injective numbering
+/// of the account names works. `wait` is informational: preprocessing
+/// reads START/END, and the CSV adapter leaves it 0.
+struct PolarisRawRow {
+  double submit = 0.0;
+  double start = 0.0;
+  double end = 0.0;
+  double walltime = 0.0;
+  double wait = 0.0;
+  int nodes = 1;
+  int user = 0;
+  int group = 0;
+  bool failed = false;  ///< EXIT_STATUS == -1
+};
+
+/// Generate Polaris-like raw rows (deterministic in `seed`).
+std::vector<PolarisRawRow> generate_polaris_rows(const PolarisTraceConfig& config,
+                                                 std::uint64_t seed);
+
+/// The same rows rendered as the raw-trace CSV (JOB_NAME job_1, job_2, ...).
 util::CsvTable generate_polaris_raw_trace(const PolarisTraceConfig& config, std::uint64_t seed);
 
-/// The paper's preprocessing (Section 5): drop EXIT_STATUS == -1, sort by
-/// submission, keep the first `max_jobs` completed jobs, normalize
-/// timestamps relative to the earliest submission, factorize user/group
-/// to anonymous ids, take node count as-is and derive memory as
-/// nodes x 512 GB. Durations come from START/END (actual runtime); the
-/// requested WALLTIME_SECONDS is preserved as the scheduler-visible
-/// estimate.
+/// The paper's preprocessing (Section 5): drop failed jobs (and malformed
+/// rows: end <= start or no nodes), sort by submission, keep the first
+/// `max_jobs` completed jobs, normalize timestamps relative to the earliest
+/// submission, factorize user/group to anonymous ids by first appearance,
+/// take node count as-is and derive memory as nodes x 512 GB. Durations
+/// come from START/END (actual runtime); the requested walltime is
+/// preserved as the scheduler-visible estimate.
+std::vector<sim::Job> preprocess_polaris_rows(std::vector<PolarisRawRow> rows,
+                                              std::size_t max_jobs);
+
+/// CSV adapter for preprocess_polaris_rows: rows whose EXIT_STATUS is -1 or
+/// not an integer are skipped unread; any other row with a non-numeric
+/// timestamp, walltime or node count throws std::runtime_error naming the
+/// row and column.
 std::vector<sim::Job> preprocess_polaris_trace(const util::CsvTable& raw, std::size_t max_jobs);
 
 /// Convenience: generate + preprocess `n_jobs` ready-to-simulate jobs.
-std::vector<sim::Job> polaris_jobs(std::size_t n_jobs, std::uint64_t seed);
+/// `config.n_jobs` is ignored: enough raw rows are generated that the
+/// post-filter count reaches `n_jobs` (throws std::runtime_error if not).
+std::vector<sim::Job> polaris_jobs(std::size_t n_jobs, std::uint64_t seed,
+                                   PolarisTraceConfig config = {});
 
 }  // namespace reasched::workload

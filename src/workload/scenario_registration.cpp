@@ -158,9 +158,7 @@ void register_trace_scenarios(ScenarioRegistry& registry) {
          const StageParamReader params(stage);
          PolarisTraceConfig config;
          config.mean_interarrival_s = params.get_double("interarrival", 180.0, 1e-3, 1e9);
-         config.n_jobs = n + n / 2 + 20;  // post-filter count reaches n
-         const auto raw = generate_polaris_raw_trace(config, seed);
-         auto jobs = preprocess_polaris_trace(raw, n);
+         auto jobs = polaris_jobs(n, seed, config);
          clamp_to_cluster(jobs, options.cluster);
          return jobs;
        }});

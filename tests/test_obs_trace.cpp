@@ -76,6 +76,35 @@ TEST(ObsTrace, RingKeepsNewestAndCountsEvictions) {
   EXPECT_TRUE(rec.snapshot().empty());
 }
 
+TEST(ObsTrace, RingGrowsOnDemandUpToItsBound) {
+  // The default ring holds what was recorded, not 65,536 preallocated
+  // slots; past the bound it evicts exactly as a preallocated ring would.
+  ro::TraceRecorder rec;
+  EXPECT_EQ(rec.stats().recorded, 0u);
+  EXPECT_EQ(rec.stats().capacity, 65536u);
+  for (int i = 0; i < 3; ++i) rec.record(make_record("early" + std::to_string(i)));
+  EXPECT_EQ(rec.stats().recorded, 3u);
+  EXPECT_EQ(rec.snapshot().size(), 3u);
+
+  const std::size_t k = 5;
+  for (std::size_t i = 3; i < 65536 + k; ++i) rec.record(make_record(std::to_string(i)));
+  const auto stats = rec.stats();
+  EXPECT_EQ(stats.capacity, 65536u);
+  EXPECT_EQ(stats.recorded, 65536u);
+  EXPECT_EQ(stats.dropped, k);
+  const auto spans = rec.snapshot();
+  ASSERT_EQ(spans.size(), 65536u);
+  EXPECT_EQ(spans.front().name, std::to_string(k));  // oldest survivor
+  EXPECT_EQ(spans.back().name, std::to_string(65536 + k - 1));
+
+  rec.clear();
+  EXPECT_EQ(rec.stats().recorded, 0u);
+  rec.record(make_record("again"));
+  EXPECT_EQ(rec.stats().recorded, 1u);
+  EXPECT_EQ(rec.stats().dropped, 0u);
+  EXPECT_EQ(rec.snapshot().front().name, "again");
+}
+
 TEST(ObsTrace, SpanRaiiAndMove) {
   ro::TraceRecorder rec(16);
 

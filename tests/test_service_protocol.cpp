@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "service/protocol.hpp"
 #include "service/service_engine.hpp"
+#include "service/snapshot.hpp"
 #include "util/json_parser.hpp"
 #include "util/json_writer.hpp"
 
@@ -14,6 +16,16 @@ namespace ru = reasched::util;
 namespace {
 
 rsvc::Request parse(const std::string& line) { return rsvc::parse_request(line); }
+
+/// The ProtocolError message `line` is refused with ("" if it parses).
+std::string refusal(const std::string& line) {
+  try {
+    rsvc::parse_request(line);
+  } catch (const rsvc::ProtocolError& e) {
+    return e.what();
+  }
+  return "";
+}
 
 }  // namespace
 
@@ -59,6 +71,79 @@ TEST(ServiceProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse(R"({"op":"cancel"})"), rsvc::ProtocolError);          // no id
   EXPECT_THROW(parse(R"({"op":"advance"})"), rsvc::ProtocolError);         // no to
   EXPECT_THROW(parse(R"({"op":"checkpoint"})"), rsvc::ProtocolError);      // no path
+}
+
+TEST(ServiceProtocol, RefusesIdsOutsideJobIdRange) {
+  EXPECT_EQ(refusal(R"({"op":"query","id":4294967296})"),
+            "request: field \"id\" value 4294967296 out of range");
+  EXPECT_EQ(refusal(R"({"op":"cancel","id":4294967303})"),
+            "request: field \"id\" value 4294967303 out of range");
+  EXPECT_EQ(refusal(R"({"op":"cancel","id":-2147483649})"),
+            "request: field \"id\" value -2147483649 out of range");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1,"id":3000000000}})"),
+            "request: field \"id\" value 3000000000 out of range");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1,"user":1e300}})"),
+            "request: field \"user\" value 1e+300 out of range");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1,"group":-1e10}})"),
+            "request: field \"group\" value -10000000000 out of range");
+  EXPECT_EQ(
+      refusal(R"({"op":"submit","job":{"duration":1,"nodes":1,"dependencies":[1,4294967296]}})"),
+      "request: field \"dependencies\" value 4294967296 out of range");
+  // Dependency entries get the same integer check as ids.
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1,"dependencies":[1.5]}})"),
+            "request: field \"dependencies\" must be an integer");
+  // The range's own ends are accepted.
+  EXPECT_EQ(parse(R"({"op":"query","id":2147483647})").id, 2147483647);
+  EXPECT_EQ(parse(R"({"op":"cancel","id":-2147483648})").id, -2147483647 - 1);
+}
+
+TEST(ServiceProtocol, RefusesUnknownFieldsNamingTheAcceptedOnes) {
+  EXPECT_EQ(refusal(R"({"op":"query","idd":17})"),
+            "request: unknown field \"idd\" (accepted: op, id)");
+  EXPECT_EQ(refusal(R"({"op":"advance","to":5,"from":1})"),
+            "request: unknown field \"from\" (accepted: op, to)");
+  EXPECT_EQ(refusal(R"({"op":"drain","now":true})"),
+            "request: unknown field \"now\" (accepted: op)");
+  EXPECT_EQ(refusal(R"({"op":"stats","verbose":1})"),
+            "request: unknown field \"verbose\" (accepted: op)");
+  EXPECT_EQ(refusal(R"({"op":"shutdown","force":1})"),
+            "request: unknown field \"force\" (accepted: op)");
+  EXPECT_EQ(refusal(R"({"op":"checkpoint","path":"s.json","fsync":1})"),
+            "request: unknown field \"fsync\" (accepted: op, path)");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1},"priority":2})"),
+            "request: unknown field \"priority\" (accepted: op, job)");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodez":900,"nodes":1}})"),
+            "request: unknown job field \"nodez\" (accepted: id, user, group, submit_time, "
+            "duration, walltime, nodes, memory_gb, dependencies)");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1,"deps":[1]}})"),
+            "request: unknown job field \"deps\" (accepted: id, user, group, submit_time, "
+            "duration, walltime, nodes, memory_gb, dependencies)");
+}
+
+TEST(ServiceProtocol, SnapshotWithEveryJobFieldStillRestores) {
+  // Job objects in snapshots carry exactly job_to_json's keys, which the
+  // strict job decoder accepts: a checkpoint still restores bit-identically.
+  rsvc::ServiceConfig config;
+  config.method = reasched::harness::MethodSpec::parse("easy");
+  rsvc::ServiceEngine engine(config);
+  rs::Job first;
+  first.duration = 300.25;
+  first.walltime = 400.0;
+  first.nodes = 4;
+  first.memory_gb = 64.5;
+  first.user = 3;
+  first.group = 2;
+  const rs::JobId a = engine.submit(first);
+  rs::Job second = first;
+  second.submit_time = 10.0;
+  second.dependencies = {a};
+  engine.submit(second);
+  engine.advance_to(50.0);
+
+  const std::string snapshot = rsvc::snapshot_to_json(engine);
+  const std::unique_ptr<rsvc::ServiceEngine> restored = rsvc::restore_snapshot_text(snapshot);
+  EXPECT_EQ(restored->state_digest(), engine.state_digest());
+  EXPECT_EQ(rsvc::snapshot_to_json(*restored), snapshot);
 }
 
 TEST(ServiceProtocol, JobCodecRoundTripsEveryField) {

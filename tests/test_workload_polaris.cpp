@@ -1,11 +1,78 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "harness/sweep.hpp"
 #include "workload/polaris.hpp"
+#include "workload/scenario_spec.hpp"
 
 namespace rw = reasched::workload;
 namespace rs = reasched::sim;
+
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// FNV-1a over the eight little-endian bytes of `v`.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// Bit-exact digest of every field of every job.
+std::uint64_t digest_jobs(const std::vector<rs::Job>& jobs) {
+  std::uint64_t h = kFnvOffset;
+  for (const rs::Job& j : jobs) {
+    h = fnv1a(h, static_cast<std::uint64_t>(j.id));
+    h = fnv1a(h, static_cast<std::uint64_t>(j.user));
+    h = fnv1a(h, static_cast<std::uint64_t>(j.group));
+    h = fnv1a(h, bits(j.submit_time));
+    h = fnv1a(h, bits(j.duration));
+    h = fnv1a(h, bits(j.walltime));
+    h = fnv1a(h, static_cast<std::uint64_t>(j.nodes));
+    h = fnv1a(h, bits(j.memory_gb));
+    h = fnv1a(h, j.dependencies.size());
+    for (const rs::JobId d : j.dependencies) h = fnv1a(h, static_cast<std::uint64_t>(d));
+  }
+  return h;
+}
+
+std::uint64_t digest_text(const std::string& text) {
+  std::uint64_t h = kFnvOffset;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+void expect_bit_identical(const std::vector<rs::Job>& a, const std::vector<rs::Job>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << i;
+    EXPECT_EQ(a[i].user, b[i].user) << i;
+    EXPECT_EQ(a[i].group, b[i].group) << i;
+    EXPECT_EQ(bits(a[i].submit_time), bits(b[i].submit_time)) << i;
+    EXPECT_EQ(bits(a[i].duration), bits(b[i].duration)) << i;
+    EXPECT_EQ(bits(a[i].walltime), bits(b[i].walltime)) << i;
+    EXPECT_EQ(a[i].nodes, b[i].nodes) << i;
+    EXPECT_EQ(bits(a[i].memory_gb), bits(b[i].memory_gb)) << i;
+    EXPECT_EQ(a[i].dependencies, b[i].dependencies) << i;
+  }
+}
+
+}  // namespace
 
 TEST(PolarisRaw, HasExpectedColumnsAndRows) {
   rw::PolarisTraceConfig config;
@@ -121,5 +188,64 @@ TEST(PolarisPreprocess, SameSubmitTimeKeepsRowOrder) {
   EXPECT_EQ(jobs[3].nodes, 8);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].id, static_cast<rs::JobId>(i + 1));
+  }
+}
+
+TEST(PolarisGolden, TypedRowsMatchCsvRoundTrip) {
+  // The typed pipeline must reproduce the CSV text round trip bit for bit:
+  // whole-second timestamps, string-factorized accounts and all.
+  const double kInterarrivals[] = {180.0, 5.0, 0.5};
+  const std::size_t kSizes[] = {10, 100, 1000, 20000};
+  for (const double interarrival : kInterarrivals) {
+    for (const std::size_t n : kSizes) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "interarrival " << interarrival << " n " << n
+                                        << " seed " << seed);
+        rw::PolarisTraceConfig config;
+        config.mean_interarrival_s = interarrival;
+        config.n_jobs = n + n / 2 + 20;
+        const auto via_csv =
+            rw::preprocess_polaris_trace(rw::generate_polaris_raw_trace(config, seed), n);
+        const auto typed =
+            rw::preprocess_polaris_rows(rw::generate_polaris_rows(config, seed), n);
+        ASSERT_EQ(via_csv.size(), n);
+        expect_bit_identical(via_csv, typed);
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(PolarisGolden, DigestsMatchCsvPipeline) {
+  // Captured from the CSV-only pipeline this typed one replaced: the 20k-job
+  // replay the end-to-end baseline panel runs, and one raw-trace CSV text.
+  reasched::harness::SweepConfig sweep;
+  sweep.base_seed = 42;
+  const auto jobs = reasched::harness::cell_jobs(
+      sweep, rw::ScenarioSpec::parse("polaris|cluster?nodes=560&memory_gb=286720"), 20000, 0);
+  ASSERT_EQ(jobs.size(), 20000u);
+  EXPECT_EQ(digest_jobs(jobs), 0x0f86f14fd51d65b7ULL);
+
+  rw::PolarisTraceConfig config;
+  config.n_jobs = 500;
+  const std::string text = rw::generate_polaris_raw_trace(config, 42).to_string();
+  EXPECT_EQ(text.size(), 42412u);
+  EXPECT_EQ(digest_text(text), 0xb86e98961a4e704aULL);
+}
+
+TEST(PolarisPreprocess, BadNumberNamesRowAfterStatusFilter) {
+  reasched::util::CsvTable raw({"JOB_NAME", "USER", "GROUP", "SUBMIT_TIMESTAMP",
+                                "START_TIMESTAMP", "END_TIMESTAMP", "NODES_REQUESTED",
+                                "WALLTIME_SECONDS", "QUEUED_WAIT_SECONDS", "EXIT_STATUS"});
+  // A failed row is skipped unread, even with garbage numbers.
+  raw.add_row({"job_1", "u1", "g1", "oops", "2000", "2600", "2", "900", "0", "-1"});
+  raw.add_row({"job_2", "u1", "g1", "1000", "2000", "2600", "2", "900", "0", "0"});
+  EXPECT_EQ(rw::preprocess_polaris_trace(raw, 10).size(), 1u);
+  raw.add_row({"job_3", "u2", "g1", "1000", "2000", "later", "2", "900", "0", "0"});
+  try {
+    rw::preprocess_polaris_trace(raw, 10);
+    FAIL() << "expected a bad-number error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "polaris trace row 2: bad END_TIMESTAMP");
   }
 }
