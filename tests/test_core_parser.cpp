@@ -12,6 +12,10 @@ struct ParseCase {
   rs::Action expected;
 };
 
+// Without a printer gtest lists each case as the raw bytes of the struct
+// (string pointers and padding), so the test IDs change from build to build.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserTable : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParserTable, ParsesAsExpected) {
