@@ -81,7 +81,7 @@ RunStats run_sustained_once(const std::string& method, const std::string& scenar
     const std::size_t waiting = engine.status().n_waiting;
     if (waiting > stats.peak_waiting) stats.peak_waiting = waiting;
   }
-  const service::DrainResult result = engine.drain();
+  const service::DrainResult& result = engine.drain();
   const auto t1 = std::chrono::steady_clock::now();
 
   stats.elapsed_s = std::chrono::duration<double>(t1 - t0).count();

@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   for (const auto& d : result.decisions) {
     std::printf("[t=%.0f] Action: %s%s\n", d.time, d.action.to_string().c_str(),
                 d.accepted ? "" : "  [rejected]");
-    if (!d.thought.empty()) std::printf("Thought: %s\n", d.thought.c_str());
-    if (!d.feedback.empty()) std::printf("%s\n", d.feedback.c_str());
+    if (!d.thought.empty()) std::printf("Thought: %s\n", d.thought.str().c_str());
+    if (!d.feedback.empty()) std::printf("%s\n", d.feedback.str().c_str());
     std::printf("\n");
     if (++shown == 2) break;
   }

@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
               result.n_backfills);
   for (const auto& d : result.decisions) {
     std::printf("# Decision at t=%.0f\n", d.time);
-    if (!d.thought.empty()) std::printf("# Thought\n%s\n", d.thought.c_str());
+    if (!d.thought.empty()) std::printf("# Thought\n%s\n", d.thought.str().c_str());
     std::printf("# Action\n%s\n", d.action.to_string().c_str());
     if (!d.accepted) {
       std::printf("# Feedback from Environment (appended to scratchpad)\n%s\n",
-                  d.feedback.c_str());
+                  d.feedback.str().c_str());
     }
     std::printf("\n");
   }

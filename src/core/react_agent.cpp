@@ -43,11 +43,15 @@ sim::Action ReActAgent::decide(const sim::DecisionContext& ctx) {
   if (config_.scratchpad_enabled) pctx.recently_rejected = scratchpad_.rejected_at(ctx.now);
 
   llm::Request request;
-  request.prompt = last_prompt_;
+  // The prompt travels by move and comes back for last_prompt(): a copy of
+  // the whole prompt per decision churned the heap and fragmented what a
+  // run retains (its schedule).
+  request.prompt = std::move(last_prompt_);
   request.max_tokens = profile_.max_completion_tokens;
   request.temperature = profile_.temperature;
   request.context = &pctx;
   const llm::Response response = client_->complete(request);
+  last_prompt_ = std::move(request.prompt);
 
   // 3. Parse the ReAct completion.
   const ParsedResponse parsed = parse_response(response.text);

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/json_writer.hpp"
 #include "util/string_utils.hpp"
@@ -105,7 +106,7 @@ std::string run_to_json_impl(const RunOutcome& outcome, const std::string& metho
     w.key("overhead").null();
   }
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ std::string build_provider_payload(ProviderKind kind, const ModelProfile& profil
           .end_object();
       break;
   }
-  return w.str();
+  return std::move(w).str();
 }
 
 namespace {

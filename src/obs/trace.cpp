@@ -101,7 +101,7 @@ std::string TraceRecorder::chrome_trace_json() const {
   w.end_array();
   w.kv("displayTimeUnit", "ms");
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 void TraceRecorder::save_chrome_trace(const std::string& path) const {

@@ -23,13 +23,9 @@ RunOutcome run_method(const std::vector<sim::Job>& jobs, const MethodSpec& metho
   config.engine = engine_config;
   config.seed = seed;
   service::ServiceEngine session(config);
-
-  service::DrainResult drained = session.replay(jobs);
+  session.replay(jobs);
 
   RunOutcome outcome;
-  outcome.schedule = std::move(drained.schedule);
-  outcome.metrics = drained.metrics;
-
   if (const auto* agent = dynamic_cast<const core::ReActAgent*>(&session.scheduler())) {
     OverheadSummary o;
     const llm::Transcript& t = agent->transcript();
@@ -41,6 +37,10 @@ RunOutcome run_method(const std::vector<sim::Job>& jobs, const MethodSpec& metho
     o.completion_tokens = t.total_completion_tokens();
     outcome.overhead = std::move(o);
   }
+  // Last: the schedule moves out of the expiring session.
+  service::DrainResult drained = std::move(session).take_outcome();
+  outcome.schedule = std::move(drained.schedule);
+  outcome.metrics = drained.metrics;
   return outcome;
 }
 

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string_view>
+#include <utility>
 
 #include "util/json_writer.hpp"
 #include "util/string_utils.hpp"
@@ -20,22 +21,9 @@ double require_number(const util::JsonValue& v, const char* key) {
   return v.at(key).as_number();
 }
 
-/// An integral value in sim::JobId's range (ids, users, groups and
-/// dependency entries all share it); `key` names the field in the error.
-sim::JobId integral_id(double raw, const char* key) {
-  if (raw != std::nearbyint(raw)) {
-    throw ProtocolError(util::format("request: field \"%s\" must be an integer", key));
-  }
-  if (raw < std::numeric_limits<sim::JobId>::min() ||
-      raw > std::numeric_limits<sim::JobId>::max()) {
-    throw ProtocolError(util::format("request: field \"%s\" value %s out of range", key,
-                                     util::format_double_exact(raw).c_str()));
-  }
-  return static_cast<sim::JobId>(raw);
-}
-
+/// Ids, users, groups and dependency entries all share sim::JobId's range.
 sim::JobId id_from(const util::JsonValue& v, const char* key) {
-  return integral_id(require_number(v, key), key);
+  return integral_field<sim::JobId>(require_number(v, key), key);
 }
 
 /// Refuse any key of `obj` outside `accepted`, naming it and listing the
@@ -55,6 +43,25 @@ void accept_only(const util::JsonValue& obj, std::initializer_list<std::string_v
 }
 
 }  // namespace
+
+template <typename T>
+T integral_field(double raw, const char* key, const char* prefix) {
+  // NaN fails the first test. Both ends of the range are exact doubles (zero
+  // or a power of two), so the cast below is always in range.
+  if (raw != std::nearbyint(raw)) {
+    throw ProtocolError(util::format("%sfield \"%s\" must be an integer", prefix, key));
+  }
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);  // max + 1
+  if (raw < lo || raw >= hi) {
+    throw ProtocolError(util::format("%sfield \"%s\" value %s out of range", prefix, key,
+                                     util::format_double_exact(raw).c_str()));
+  }
+  return static_cast<T>(raw);
+}
+
+template int integral_field<int>(double, const char*, const char*);
+template std::size_t integral_field<std::size_t>(double, const char*, const char*);
 
 void job_to_json(util::JsonWriter& w, const sim::Job& job) {
   w.begin_object();
@@ -82,7 +89,7 @@ sim::Job job_from_json(const util::JsonValue& v) {
   sim::Job job;
   job.duration = require_number(v, "duration");
   job.walltime = v.number_or("walltime", job.duration);
-  job.nodes = static_cast<int>(require_number(v, "nodes"));
+  job.nodes = integral_field<int>(require_number(v, "nodes"), "nodes");
   job.memory_gb = v.number_or("memory_gb", 1.0);
   job.submit_time = v.number_or("submit_time", 0.0);
   if (v.contains("id")) job.id = id_from(v, "id");
@@ -95,7 +102,8 @@ sim::Job job_from_json(const util::JsonValue& v) {
       if (!deps.at(i).is_number()) {
         throw ProtocolError("request: \"dependencies\" entries must be job ids");
       }
-      job.dependencies.push_back(integral_id(deps.at(i).as_number(), "dependencies"));
+      job.dependencies.push_back(
+          integral_field<sim::JobId>(deps.at(i).as_number(), "dependencies"));
     }
   }
   return job;
@@ -180,7 +188,7 @@ void status_fields(util::JsonWriter& w, const ServiceStatus& s) {
 std::string render_submit(sim::JobId id) {
   util::JsonWriter w;
   w.begin_object().kv("ok", true).kv("op", "submit").kv("id", id).end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_cancel(const std::vector<sim::JobId>& cancelled) {
@@ -189,7 +197,7 @@ std::string render_cancel(const std::vector<sim::JobId>& cancelled) {
   w.key("cancelled").begin_array();
   for (const sim::JobId id : cancelled) w.value(id);
   w.end_array().end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_status(const ServiceStatus& s) {
@@ -197,7 +205,7 @@ std::string render_status(const ServiceStatus& s) {
   w.begin_object().kv("ok", true).kv("op", "query");
   status_fields(w, s);
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_job_state(sim::JobId id, sim::JobState state) {
@@ -205,7 +213,7 @@ std::string render_job_state(sim::JobId id, sim::JobState state) {
   w.begin_object().kv("ok", true).kv("op", "query").kv("id", id);
   w.kv("state", sim::to_string(state));
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_advance(const ServiceStatus& s) {
@@ -213,7 +221,7 @@ std::string render_advance(const ServiceStatus& s) {
   w.begin_object().kv("ok", true).kv("op", "advance");
   status_fields(w, s);
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_drain(const DrainResult& result) {
@@ -227,7 +235,7 @@ std::string render_drain(const DrainResult& result) {
     w.kv_exact(metrics::to_string(m), result.metrics.get(m));
   }
   w.end_object().end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_checkpoint(const std::string& path, std::uint64_t digest) {
@@ -235,7 +243,7 @@ std::string render_checkpoint(const std::string& path, std::uint64_t digest) {
   w.begin_object().kv("ok", true).kv("op", "checkpoint").kv("path", path);
   w.kv("digest", util::format("%016llx", static_cast<unsigned long long>(digest)));
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_stats(bool obs_enabled, const obs::RegistrySnapshot& registry,
@@ -269,19 +277,19 @@ std::string render_stats(bool obs_enabled, const obs::RegistrySnapshot& registry
   w.kv("capacity", spans.capacity);
   w.end_object();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_shutdown() {
   util::JsonWriter w;
   w.begin_object().kv("ok", true).kv("op", "shutdown").end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_error(const std::string& message) {
   util::JsonWriter w;
   w.begin_object().kv("ok", false).kv("error", message).end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string render_decision_trace(const sim::ScheduleResult& schedule) {

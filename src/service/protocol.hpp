@@ -50,6 +50,14 @@ struct Request {
 /// Parse one request line; throws ProtocolError naming what is wrong.
 Request parse_request(const std::string& line);
 
+/// `raw` as a T (int or std::size_t) when it is an integer inside T's range.
+/// Otherwise throws ProtocolError naming the field, and the value when it
+/// is out of range: `<prefix>field "nodes" value 1e+10 out of range`. Every
+/// integer field read from JSON - request ids, job fields, the snapshot's
+/// counts - goes through this one check.
+template <typename T>
+T integral_field(double raw, const char* key, const char* prefix = "request: ");
+
 /// Job JSON codec shared by the protocol and the snapshot format. Emits
 /// every field with round-trip-exact doubles; parsing fills defaults
 /// (id 0 = assign, walltime = duration) and throws ProtocolError on

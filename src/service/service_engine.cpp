@@ -239,7 +239,7 @@ void ServiceEngine::advance_to(double t) {
   emit_runlog_rows(core_->result());
 }
 
-DrainResult ServiceEngine::finish_drain() {
+const DrainResult& ServiceEngine::finish_drain() {
   core_->set_more_arrivals_hint(false);
   while (core_->step()) {
   }
@@ -257,7 +257,12 @@ DrainResult ServiceEngine::finish_drain() {
   return *outcome_;
 }
 
-DrainResult ServiceEngine::drain() {
+DrainResult ServiceEngine::take_outcome() && {
+  if (!drained_) throw std::logic_error("ServiceEngine: take_outcome before a drain");
+  return std::move(*outcome_);
+}
+
+const DrainResult& ServiceEngine::drain() {
   ensure_accepting("drain");
   if (stream_ && stream_->endless()) {
     throw std::logic_error(
@@ -271,7 +276,7 @@ DrainResult ServiceEngine::drain() {
   return finish_drain();
 }
 
-DrainResult ServiceEngine::replay(const std::vector<sim::Job>& jobs) {
+const DrainResult& ServiceEngine::replay(const std::vector<sim::Job>& jobs) {
   ensure_accepting("replay");
   if (!ops_.empty() || stream_.has_value()) {
     throw std::logic_error(

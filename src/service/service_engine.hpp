@@ -63,7 +63,9 @@ struct ServiceStatus {
 };
 
 /// Result of drain()/replay(): the finished schedule plus its metrics -
-/// what the batch harness consumes.
+/// what the batch harness consumes. The session owns it: drain()/replay()
+/// return a reference that lives as long as the session, and an expiring
+/// session hands it over with take_outcome().
 struct DrainResult {
   metrics::MetricSet metrics;
   sim::ScheduleResult schedule;
@@ -114,13 +116,19 @@ class ServiceEngine {
   /// jobs submitted at clock 0 executes the identical per-step code path
   /// as sim::Engine::run over the same jobs. Throws std::logic_error on
   /// endless streams (max_batches == 0). The session becomes kDrained.
-  DrainResult drain();
+  const DrainResult& drain();
 
   /// Batch client entry: load `jobs` wholesale (arbitrary DAGs, exactly
   /// Engine::run's validation) and drain. Legal only as the first
   /// operation of a stream-less session. This is how harness::run_method
   /// is expressed as one client of the service.
-  DrainResult replay(const std::vector<sim::Job>& jobs);
+  const DrainResult& replay(const std::vector<sim::Job>& jobs);
+
+  /// Move the drained outcome out of an expiring session (the batch
+  /// client's hand-off, so a trace-scale schedule is never copied). Throws
+  /// std::logic_error before a drain. Read everything else the session
+  /// holds (scheduler, digest, schedule_view) first: they do not survive.
+  DrainResult take_outcome() &&;
 
   /// Re-apply one logged operation (snapshot restore path).
   void apply(const ServiceOp& op);
@@ -175,7 +183,7 @@ class ServiceEngine {
   void pump_stream(double t);
   void flush_buffer(double t);
   void cascade_buffer_cancel(std::vector<sim::JobId>& cancelled);
-  DrainResult finish_drain();
+  const DrainResult& finish_drain();
   /// Append run-log rows for completions past runlog_emitted_ (observe-only;
   /// called after advances and before finish() moves the result out).
   void emit_runlog_rows(const sim::ScheduleResult& result);

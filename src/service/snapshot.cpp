@@ -1,6 +1,13 @@
 #include "service/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "service/protocol.hpp"
@@ -34,6 +41,30 @@ double exact_number(const util::JsonValue& v, const char* key) {
     throw SnapshotError(util::format("snapshot: missing numeric field \"%s\"", key));
   }
   return v.at(key).as_number();
+}
+
+[[noreturn]] void io_fail(const char* what, const std::string& path, int err) {
+  throw SnapshotError(
+      util::format("snapshot: %s %s failed (%s)", what, path.c_str(), std::strerror(err)));
+}
+
+/// Make a completed rename in the directory holding `path` durable.
+void sync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) io_fail("open of directory", dir, errno);
+  const int synced = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (synced != 0) io_fail("fsync of directory", dir, err);
+}
+
+template <typename T>
+T exact_integral(const util::JsonValue& v, const char* key) {
+  return integral_field<T>(exact_number(v, key), key, "");
 }
 
 }  // namespace
@@ -91,14 +122,28 @@ std::string snapshot_to_json(const ServiceEngine& engine) {
 
   w.kv("digest", digest_hex(engine.state_digest()));
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 void save_snapshot(const ServiceEngine& engine, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw SnapshotError("snapshot: cannot open " + path + " for writing");
-  f << snapshot_to_json(engine) << '\n';
-  if (!f) throw SnapshotError("snapshot: write to " + path + " failed");
+  // Crash-consistent: the text goes to a sibling temporary file, is flushed
+  // to disk, and only then renamed over `path` in one step. A crash at any
+  // instant leaves either the previous snapshot or the new one, each whole.
+  const std::string text = snapshot_to_json(engine) + '\n';
+  const std::string tmp = path + ".tmp";
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(tmp.c_str(), "w"), &std::fclose);
+  if (f == nullptr) io_fail("open of", tmp, errno);
+  const bool written = std::fwrite(text.data(), 1, text.size(), f.get()) == text.size() &&
+                       std::fflush(f.get()) == 0 && ::fsync(::fileno(f.get())) == 0 &&
+                       std::fclose(f.release()) == 0 &&
+                       std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!written) {
+    const int err = errno;
+    f.reset();
+    ::unlink(tmp.c_str());
+    io_fail("write of", path, err);
+  }
+  sync_parent_dir(path);
 }
 
 std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
@@ -123,21 +168,21 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
     config.method = harness::MethodSpec::parse(cfg.at("method").as_string());
     config.seed = std::stoull(cfg.at("seed").as_string());
     const util::JsonValue& eng = cfg.at("engine");
-    config.engine.max_invalid_retries = static_cast<int>(exact_number(eng, "max_invalid_retries"));
+    config.engine.max_invalid_retries = exact_integral<int>(eng, "max_invalid_retries");
     config.engine.feedback_enabled = eng.at("feedback_enabled").as_bool();
     config.engine.record_traces = eng.at("record_traces").as_bool();
     config.engine.enforce_walltime = eng.at("enforce_walltime").as_bool();
     const util::JsonValue& cluster = eng.at("cluster");
-    config.engine.cluster.total_nodes = static_cast<int>(exact_number(cluster, "total_nodes"));
+    config.engine.cluster.total_nodes = exact_integral<int>(cluster, "total_nodes");
     config.engine.cluster.total_memory_gb = exact_number(cluster, "total_memory_gb");
     config.engine.cluster.watts_per_busy_node = exact_number(cluster, "watts_per_busy_node");
     config.engine.cluster.watts_per_idle_node = exact_number(cluster, "watts_per_idle_node");
     const util::JsonValue& stream = cfg.at("stream");
-    const auto batch_jobs = static_cast<std::size_t>(exact_number(stream, "batch_jobs"));
+    const auto batch_jobs = exact_integral<std::size_t>(stream, "batch_jobs");
     if (batch_jobs > 0) {
       config.stream = workload::make_stream_spec(
           stream.at("scenario").as_string(), batch_jobs,
-          static_cast<std::size_t>(exact_number(stream, "max_batches")),
+          exact_integral<std::size_t>(stream, "max_batches"),
           exact_number(stream, "rate_scale"));
     }
   } catch (const SnapshotError&) {
@@ -162,7 +207,7 @@ std::unique_ptr<ServiceEngine> restore_snapshot_text(const std::string& json) {
         op.job = job_from_json(entry.at("job"));
       } else if (kind == "cancel") {
         op.kind = ServiceOp::Kind::kCancel;
-        op.id = static_cast<sim::JobId>(exact_number(entry, "id"));
+        op.id = exact_integral<sim::JobId>(entry, "id");
       } else if (kind == "advance") {
         op.kind = ServiceOp::Kind::kAdvance;
         op.to = exact_number(entry, "to");

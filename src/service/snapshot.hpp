@@ -39,7 +39,10 @@ class SnapshotError : public std::runtime_error {
 /// Serialize the session (config + op log + state digest) as one JSON doc.
 std::string snapshot_to_json(const ServiceEngine& engine);
 
-/// snapshot_to_json + write to `path`; throws SnapshotError on I/O failure.
+/// snapshot_to_json + write to `path` atomically: the text is written and
+/// fsynced to `<path>.tmp`, which is then renamed over `path`, so a crash
+/// or a failed save leaves the previous snapshot intact. Throws
+/// SnapshotError on I/O failure (no `.tmp` is left behind).
 void save_snapshot(const ServiceEngine& engine, const std::string& path);
 
 /// Rebuild a session from snapshot text: construct from the embedded

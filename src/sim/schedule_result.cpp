@@ -6,6 +6,11 @@
 
 namespace reasched::sim {
 
+const std::string& TraceText::str() const {
+  static const std::string kEmpty;
+  return text_ != nullptr ? *text_ : kEmpty;
+}
+
 const CompletedJob& ScheduleResult::find(JobId id) const {
   for (const auto& c : completed) {
     if (c.job.id == id) return c;

@@ -121,8 +121,17 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // A failure abandons the whole parse, so only the normal return
+        // has to leave the level.
+        if (++depth_ > kMaxJsonDepth) {
+          fail(format("nesting deeper than the limit of %zu levels", kMaxJsonDepth));
+        }
+        JsonValue nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -242,6 +251,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,8 +62,14 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses per
+/// level, so without a bound one hostile line of nested brackets exhausts
+/// the stack; every document this project writes nests fewer than 10 deep.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
-/// Throws std::runtime_error with position information on malformed input.
+/// Throws std::runtime_error with position information on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace reasched::util

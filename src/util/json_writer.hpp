@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace reasched::util {
@@ -47,7 +48,9 @@ class JsonWriter {
     return value_exact(v);
   }
 
-  const std::string& str() const { return out_; }
+  const std::string& str() const& { return out_; }
+  /// Hands the document over without copying: `return std::move(w).str();`.
+  std::string str() && { return std::move(out_); }
   void save(const std::string& path) const;
 
   static std::string escape(const std::string& s);

@@ -44,7 +44,7 @@ TEST(ReActAgent, ExecutesScriptedSchedule) {
   ASSERT_GE(result.decisions.size(), 3u);
   EXPECT_EQ(result.decisions[0].action, rs::Action::start(2));
   // Thoughts flow into the decision records for interpretability.
-  EXPECT_NE(result.decisions[0].thought.find("short job first"), std::string::npos);
+  EXPECT_NE(result.decisions[0].thought.str().find("short job first"), std::string::npos);
 }
 
 TEST(ReActAgent, InvalidActionGetsFeedbackAndRecovers) {

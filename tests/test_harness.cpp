@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "harness/sweep.hpp"
+#include "sim/engine.hpp"
 
 namespace rh = reasched::harness;
+namespace rs = reasched::sim;
 namespace rw = reasched::workload;
 namespace rm = reasched::metrics;
 
@@ -45,6 +47,34 @@ TEST(RunMethod, OverheadOnlyForLlmMethods) {
   EXPECT_GT(claude.overhead->total_elapsed_s, 0.0);
   EXPECT_EQ(claude.overhead->latencies.size(), 12u);
   EXPECT_GT(claude.overhead->prompt_tokens, 0);
+}
+
+// A trace-scale heuristic cell: FCFS never reasons, so no record pays for
+// text, and the service replay behind run_method reproduces Engine::run's
+// decision trace record for record.
+TEST(RunMethod, PolarisFcfsCellMatchesEngineRunWithoutTraceText) {
+  const rh::SweepConfig config;
+  const auto scenario = rw::ScenarioSpec::parse("polaris|cluster?nodes=560&memory_gb=286720");
+  const std::vector<rs::Job> jobs = rh::cell_jobs(config, scenario, 2000, 0);
+  const rs::EngineConfig engine = rh::cell_engine(config, scenario);
+  const rh::MethodSpec fcfs = rh::MethodSpec::parse("fcfs");
+
+  const rh::RunOutcome outcome = rh::run_method(jobs, fcfs, 11, engine);
+  const rs::ScheduleResult direct = rs::Engine(engine).run(jobs, *rh::make_scheduler(fcfs, 11));
+
+  const std::vector<rs::DecisionRecord>& got = outcome.schedule.decisions;
+  ASSERT_GE(got.size(), jobs.size());
+  ASSERT_EQ(got.size(), direct.decisions.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].thought.empty()) << "decision " << i;
+    EXPECT_EQ(got[i].time, direct.decisions[i].time) << "decision " << i;
+    EXPECT_EQ(got[i].action, direct.decisions[i].action) << "decision " << i;
+    EXPECT_EQ(got[i].accepted, direct.decisions[i].accepted) << "decision " << i;
+    EXPECT_EQ(got[i].thought, direct.decisions[i].thought) << "decision " << i;
+    EXPECT_EQ(got[i].feedback, direct.decisions[i].feedback) << "decision " << i;
+  }
+  EXPECT_EQ(outcome.schedule.completed.size(), jobs.size());
+  EXPECT_EQ(outcome.schedule.final_time, direct.final_time);
 }
 
 TEST(Sweep, DeterministicAndPaired) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "service/service_engine.hpp"
@@ -169,6 +171,32 @@ TEST(ServiceEngine, ReplayIsBatchOnlyAndFirst) {
   rsvc::ServiceEngine dirty(fcfs_config());
   dirty.submit(make_job(0, 0.0, 60.0));
   EXPECT_THROW(dirty.replay({make_job(9, 0.0, 60.0)}), std::logic_error);
+}
+
+TEST(ServiceEngine, DrainReturnsTheSessionOutcomeWhichTakeOutcomeHandsOver) {
+  auto engine = std::make_unique<rsvc::ServiceEngine>(fcfs_config());
+  engine->submit(make_job(0, 0.0, 60.0, 200));
+  engine->submit(make_job(0, 0.0, 30.0, 200));
+  const rsvc::DrainResult& drained = engine->drain();
+  // The reference is the session's own outcome, not a copy.
+  EXPECT_EQ(&drained.schedule, &engine->schedule_view());
+  ASSERT_EQ(drained.schedule.completed.size(), 2u);
+  const rsvc::DrainResult expected = drained;
+
+  rsvc::DrainResult taken = std::move(*engine).take_outcome();
+  engine.reset();  // the emptied session must destroy cleanly
+  ASSERT_EQ(taken.schedule.completed.size(), expected.schedule.completed.size());
+  ASSERT_EQ(taken.schedule.decisions.size(), expected.schedule.decisions.size());
+  for (std::size_t i = 0; i < taken.schedule.decisions.size(); ++i) {
+    EXPECT_EQ(taken.schedule.decisions[i].time, expected.schedule.decisions[i].time);
+    EXPECT_EQ(taken.schedule.decisions[i].action, expected.schedule.decisions[i].action);
+  }
+  EXPECT_EQ(taken.schedule.final_time, expected.schedule.final_time);
+  EXPECT_EQ(taken.metrics.makespan, expected.metrics.makespan);
+  EXPECT_EQ(taken.metrics.avg_wait, expected.metrics.avg_wait);
+
+  rsvc::ServiceEngine undrained(fcfs_config());
+  EXPECT_THROW(std::move(undrained).take_outcome(), std::logic_error);
 }
 
 TEST(ServiceEngine, StreamModeFeedsJobsAsTheClockMoves) {

@@ -97,6 +97,29 @@ TEST(ServiceProtocol, RefusesIdsOutsideJobIdRange) {
   EXPECT_EQ(parse(R"({"op":"cancel","id":-2147483648})").id, -2147483647 - 1);
 }
 
+TEST(ServiceProtocol, RefusesNodesThatAreNotAnIntInRange) {
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":1e10}})"),
+            "request: field \"nodes\" value 10000000000 out of range");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":-3000000000}})"),
+            "request: field \"nodes\" value -3000000000 out of range");
+  EXPECT_EQ(refusal(R"({"op":"submit","job":{"duration":1,"nodes":2.5}})"),
+            "request: field \"nodes\" must be an integer");
+  EXPECT_EQ(parse(R"({"op":"submit","job":{"duration":1,"nodes":2147483647}})").job.nodes,
+            2147483647);
+}
+
+TEST(ServiceProtocol, RefusesDeeplyNestedLines) {
+  // 200,000 nested brackets used to overflow the parser's stack (SIGSEGV).
+  EXPECT_EQ(refusal(std::string(200000, '[')),
+            "request: invalid JSON (JSON parse error at offset 256: nesting deeper than the "
+            "limit of 256 levels)");
+  const std::string deep_field =
+      R"({"op":"submit","job":{"duration":1,"nodes":1,"dependencies":)" +
+      std::string(200000, '[');
+  EXPECT_NE(refusal(deep_field).find("nesting deeper than the limit of 256 levels"),
+            std::string::npos);
+}
+
 TEST(ServiceProtocol, RefusesUnknownFieldsNamingTheAcceptedOnes) {
   EXPECT_EQ(refusal(R"({"op":"query","idd":17})"),
             "request: unknown field \"idd\" (accepted: op, id)");

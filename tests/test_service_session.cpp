@@ -227,6 +227,23 @@ TEST(ServiceLoop, MalformedLinesBecomeErrorsNotCrashes) {
   EXPECT_EQ(engine.status().n_buffered, 1u);  // the valid submit landed
 }
 
+TEST(ServiceLoop, DeeplyNestedLineIsRefusedAndTheSessionStillDrains) {
+  rsvc::ServiceEngine engine(fcfs_config());
+  std::istringstream in("{\"op\":\"submit\",\"job\":{\"duration\":60,\"nodes\":4}}\n" +
+                        std::string(200000, '[') + "\n{\"op\":\"drain\"}\n");
+  std::ostringstream out;
+  const rsvc::LoopStats stats = rsvc::run_service_loop(engine, in, out);
+  EXPECT_EQ(stats.n_requests, 3u);
+  EXPECT_EQ(stats.n_errors, 1u);
+  std::istringstream replies(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1].rfind("{\"ok\":false", 0), 0u);
+  EXPECT_NE(lines[1].find("nesting deeper than the limit"), std::string::npos);
+  EXPECT_EQ(lines[2].rfind("{\"ok\":true,\"op\":\"drain\",\"completed\":1", 0), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent stress harness: >= 4 submitter threads through the shared
 // queue/table/sink into one engine. This is the designated TSan target.

@@ -200,7 +200,7 @@ TEST(Engine, DecisionRecordsCaptureRejections) {
     if (!d.accepted) {
       saw_rejection = true;
       EXPECT_FALSE(d.feedback.empty());
-      EXPECT_NE(d.feedback.find("Feedback:"), std::string::npos);
+      EXPECT_NE(d.feedback.str().find("Feedback:"), std::string::npos);
     }
   }
   EXPECT_TRUE(saw_rejection);
@@ -223,6 +223,40 @@ TEST(Engine, CountersTrackDecisions) {
   EXPECT_GE(result.n_decisions, 3u);  // 2 starts + final stop
   EXPECT_EQ(result.n_invalid_actions, 0u);
   EXPECT_EQ(result.n_backfills, 0u);
+}
+
+TEST(TraceText, EmptyIsNullAndCopiesAreDeep) {
+  rs::TraceText text;
+  EXPECT_TRUE(text.empty());
+  EXPECT_TRUE(text.str().empty());
+  text = std::string();  // storing nothing keeps it null
+  EXPECT_TRUE(text.empty());
+
+  text = std::string("Thought: start the short job first");
+  EXPECT_FALSE(text.empty());
+  const std::string& read = text;  // reads as the string it holds
+  EXPECT_EQ(read, "Thought: start the short job first");
+
+  rs::TraceText copy = text;
+  EXPECT_EQ(copy, text);
+  EXPECT_NE(&copy.str(), &text.str());  // deep: a separate string
+  text = std::string("replaced");
+  EXPECT_EQ(copy, std::string("Thought: start the short job first"));
+  EXPECT_NE(copy, text);
+  EXPECT_NE(text, std::string("Thought: start the short job first"));
+
+  copy = rs::TraceText();  // assigning an empty one releases the text
+  EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(copy, rs::TraceText());
+  EXPECT_EQ(copy, std::string());
+
+  rs::TraceText moved = std::move(text);
+  EXPECT_EQ(moved, std::string("replaced"));
+}
+
+TEST(TraceText, DecisionRecordStaysCompact) {
+  EXPECT_LE(sizeof(rs::TraceText), sizeof(void*));
+  EXPECT_LE(sizeof(rs::DecisionRecord), 40u);
 }
 
 TEST(ScheduleResult, FindThrowsOnUnknown) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "util/json_parser.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -59,6 +62,34 @@ TEST(JsonParser, Errors) {
   EXPECT_THROW(ru::parse_json("{} trailing"), std::runtime_error);
   EXPECT_THROW(ru::parse_json("1.2.3"), std::runtime_error);
   EXPECT_THROW(ru::parse_json("\"bad \\q escape\""), std::runtime_error);
+}
+
+TEST(JsonParser, NestingDepthIsBounded) {
+  const std::size_t limit = ru::kMaxJsonDepth;
+  EXPECT_TRUE(ru::parse_json(std::string(limit, '[') + std::string(limit, ']')).is_array());
+  std::string objects;
+  for (std::size_t i = 0; i < limit; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(limit, '}');
+  EXPECT_TRUE(ru::parse_json(objects).is_object());
+
+  // One level more is a typed error naming the offset and the limit; a
+  // hostile line 100,000 levels deep gets the same answer, not a stack
+  // overflow.
+  std::string hostile_objects;
+  for (int i = 0; i < 100000; ++i) hostile_objects += "{\"a\":";
+  const std::pair<std::string, const char*> cases[] = {
+      {std::string(limit + 1, '[') + std::string(limit + 1, ']'), "offset 256"},
+      {std::string(200000, '['), "offset 256"},
+      {hostile_objects, "offset 1280"}};
+  for (const auto& [text, offset] : cases) {
+    try {
+      ru::parse_json(text);
+      ADD_FAILURE() << "a " << text.size() << "-character nesting parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), std::string("JSON parse error at ") + offset +
+                              ": nesting deeper than the limit of 256 levels");
+    }
+  }
 }
 
 TEST(JsonParser, TypeMismatchThrows) {
